@@ -16,6 +16,9 @@ exportable set of runtime signals:
 * :mod:`repro.obs.profiling` — opt-in cProfile / tracemalloc phase
   profiling (``--profile``);
 * :mod:`repro.obs.logs` — stdlib logging with a key=value formatter;
+* :mod:`repro.obs.segmentlog` — the append-only NDJSON segment log
+  (size rotation, retention, resume, torn-line-tolerant replay) that
+  the tsdb, trace store and profiler persist through;
 * :mod:`repro.obs.tsdb` — a local time-series store: an in-process
   sampler folds registry snapshots into multi-resolution ring buffers
   and appends them to rotating NDJSON segments;

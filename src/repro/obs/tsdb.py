@@ -19,8 +19,8 @@ day → week → month hierarchy at telemetry scale:
 * :class:`Sampler` — the in-process thread ``repro serve`` runs: every
   ``interval`` seconds it folds a spans-free registry snapshot into the
   store and appends one NDJSON row to the current on-disk segment.
-* Segments — append-only ``tsdb-NNNNNN.ndjson`` files with size-based
-  rotation and a bounded retention count, re-loadable with
+* Segments — ``tsdb-NNNNNN.ndjson`` files of the shared
+  :class:`~repro.obs.segmentlog.SegmentLog`, re-loadable with
   :func:`load_segments` so ``repro slo check`` and post-mortems can
   evaluate windows against history that survived the process.
 
@@ -30,8 +30,6 @@ registry's span machinery and costs one snapshot per tick.
 
 from __future__ import annotations
 
-import json
-import os
 import threading
 import time
 from dataclasses import dataclass
@@ -40,6 +38,7 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro import obs
 from repro.obs.metrics import MetricsRegistry
+from repro.obs.segmentlog import SegmentLog, replay
 
 __all__ = [
     "Bucket",
@@ -284,11 +283,12 @@ class TimeSeriesStore:
     """Named series plus optional append-only NDJSON segment persistence.
 
     In-memory it is a dict of :class:`Series`; with ``segment_dir`` set,
-    every ingested sample row is also appended to the current segment
-    file, which rotates at ``max_segment_bytes`` and keeps at most
-    ``max_segments`` files (oldest deleted). The on-disk rows are exactly
-    what :func:`sample_point` produces, so :func:`load_segments` can
-    rebuild an equivalent store after the process is gone.
+    every ingested sample row is also appended to a
+    :class:`~repro.obs.segmentlog.SegmentLog` that rotates at
+    ``max_segment_bytes`` and keeps at most ``max_segments`` files. The
+    on-disk rows are exactly what :func:`sample_point` produces, so
+    :func:`load_segments` can rebuild an equivalent store after the
+    process is gone.
     """
 
     def __init__(
@@ -303,20 +303,10 @@ class TimeSeriesStore:
         self._capacity = int(capacity)
         self._series: Dict[str, Series] = {}
         self._lock = threading.Lock()
-        self._segment_dir = Path(segment_dir) if segment_dir is not None else None
-        self._max_segment_bytes = int(max_segment_bytes)
-        self._max_segments = max(1, int(max_segments))
-        self._segment_index = 0
-        self._segment_bytes = 0
-        self._rotations = 0
+        self._log = SegmentLog(
+            segment_dir, SEGMENT_PREFIX, max_segment_bytes, max_segments
+        )
         self._samples = 0
-        if self._segment_dir is not None:
-            self._segment_dir.mkdir(parents=True, exist_ok=True)
-            existing = sorted(self._segment_dir.glob(f"{SEGMENT_PREFIX}*.ndjson"))
-            if existing:
-                last = existing[-1]
-                self._segment_index = int(last.stem[len(SEGMENT_PREFIX):])
-                self._segment_bytes = last.stat().st_size
 
     # ------------------------------------------------------------------
     @property
@@ -327,12 +317,12 @@ class TimeSeriesStore:
     @property
     def rotations(self) -> int:
         """Completed on-disk segment rotations since creation."""
-        return self._rotations
+        return self._log.rotations
 
     @property
     def segment_dir(self) -> Optional[Path]:
         """Where segments are written, or ``None`` for in-memory only."""
-        return self._segment_dir
+        return self._log.directory
 
     def series_names(self) -> List[str]:
         """Sorted names of every series the store has seen."""
@@ -365,8 +355,8 @@ class TimeSeriesStore:
         for name, value in point["series"].items():  # type: ignore[union-attr]
             self.observe(name, kinds.get(name, "gauge"), ts, float(value))
         self._samples += 1
-        if persist and self._segment_dir is not None:
-            self._append_row(point)
+        if persist:
+            self._log.append(point)
 
     def sample_registry(
         self,
@@ -408,39 +398,9 @@ class TimeSeriesStore:
             return []
         return [b.to_dict() for b in series.buckets(resolution, since)]
 
-    # ------------------------------------------------------------------
-    # Segment persistence
-    # ------------------------------------------------------------------
-    def _segment_path(self) -> Path:
-        assert self._segment_dir is not None
-        return self._segment_dir / f"{SEGMENT_PREFIX}{self._segment_index:06d}.ndjson"
-
-    def _append_row(self, point: Mapping[str, object]) -> None:
-        line = json.dumps(point, sort_keys=True) + "\n"
-        encoded = line.encode()
-        if (
-            self._segment_bytes
-            and self._segment_bytes + len(encoded) > self._max_segment_bytes
-        ):
-            self._segment_index += 1
-            self._segment_bytes = 0
-            self._rotations += 1
-            self._prune_segments()
-        with self._segment_path().open("a") as handle:
-            handle.write(line)
-        self._segment_bytes += len(encoded)
-
-    def _prune_segments(self) -> None:
-        assert self._segment_dir is not None
-        segments = sorted(self._segment_dir.glob(f"{SEGMENT_PREFIX}*.ndjson"))
-        for stale in segments[: max(0, len(segments) - (self._max_segments - 1))]:
-            stale.unlink(missing_ok=True)
-
     def segment_paths(self) -> List[Path]:
         """The on-disk segment files, oldest first (empty when in-memory)."""
-        if self._segment_dir is None:
-            return []
-        return sorted(self._segment_dir.glob(f"{SEGMENT_PREFIX}*.ndjson"))
+        return self._log.segment_paths()
 
     def sync(self) -> None:
         """fsync the open segment so the tail survives power loss.
@@ -450,16 +410,7 @@ class TimeSeriesStore:
         sample so the last ``--sample-interval`` of telemetry is durably
         on disk before the process exits. No-op for in-memory stores.
         """
-        if self._segment_dir is None:
-            return
-        path = self._segment_path()
-        if not path.exists():
-            return
-        fd = os.open(path, os.O_RDONLY)
-        try:
-            os.fsync(fd)
-        finally:
-            os.close(fd)
+        self._log.sync()
 
 
 def load_segments(
@@ -475,24 +426,9 @@ def load_segments(
     last one. Raises ``FileNotFoundError`` when the directory does not
     exist and ``ValueError`` when it holds no segments.
     """
-    directory = Path(directory)
-    if not directory.is_dir():
-        raise FileNotFoundError(f"no such tsdb directory: {directory}")
-    segments = sorted(directory.glob(f"{SEGMENT_PREFIX}*.ndjson"))
-    if not segments:
-        raise ValueError(f"{directory} contains no {SEGMENT_PREFIX}*.ndjson segments")
     store = TimeSeriesStore(resolutions=resolutions, capacity=capacity)
-    for segment in segments:
-        for line in segment.read_text().splitlines():
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                point = json.loads(line)
-            except ValueError:
-                continue
-            if not isinstance(point, dict) or "t" not in point or "series" not in point:
-                continue
+    for point in replay(directory, SEGMENT_PREFIX):
+        if "t" in point and "series" in point:
             store.ingest(point, persist=False)
     return store
 

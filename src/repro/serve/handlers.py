@@ -661,18 +661,26 @@ class ServeApp:
         return doc
 
     @staticmethod
-    def _flush_age(segments) -> Optional[float]:
-        """Seconds since the newest segment file was written, or None."""
-        newest = None
+    def _persistence(owner) -> Dict[str, object]:
+        """``enabled``, ``segments`` and mtime flush age of one subsystem.
+
+        ``owner`` is a store or profiler (anything with
+        ``segment_paths()``) or ``None`` when the subsystem is off.
+        """
+        segments = owner.segment_paths() if owner is not None else []
+        mtimes = []
         for path in segments:
             try:
-                mtime = path.stat().st_mtime
+                mtimes.append(path.stat().st_mtime)
             except OSError:
                 continue
-            newest = mtime if newest is None else max(newest, mtime)
-        if newest is None:
-            return None
-        return max(0.0, round(time.time() - newest, 3))
+        return {
+            "enabled": owner is not None,
+            "segments": len(segments),
+            "last_flush_age_seconds": (
+                max(0.0, round(time.time() - max(mtimes), 3)) if mtimes else None
+            ),
+        }
 
     def subsystems(self) -> Dict[str, Dict[str, object]]:
         """Uniform per-subsystem health: the ``/healthz`` subsystems block.
@@ -682,68 +690,27 @@ class ServeApp:
         disk — whether or not it is enabled, so dashboards and runbooks
         can key on a stable shape.
         """
-        tsdb: Dict[str, object] = {
-            "enabled": self._tsdb_sampler is not None,
-            "segments": 0,
-            "last_flush_age_seconds": None,
-        }
-        if self._tsdb_sampler is not None:
-            store = self._tsdb_sampler.store
-            segments = store.segment_paths()
+        sampler = self._tsdb_sampler
+        tsdb = self._persistence(sampler.store if sampler is not None else None)
+        if sampler is not None:
             tsdb.update(
-                {
-                    "segments": len(segments),
-                    "last_flush_age_seconds": self._flush_age(segments),
-                    "interval_seconds": self._tsdb_sampler.interval,
-                    "samples": store.samples,
-                    "series": len(store.series_names()),
-                }
+                interval_seconds=sampler.interval,
+                samples=sampler.store.samples,
+                series=len(sampler.store.series_names()),
             )
-        traces: Dict[str, object] = {
-            "enabled": self._trace_store is not None,
-            "segments": 0,
-            "last_flush_age_seconds": None,
-        }
+        traces = self._persistence(self._trace_store)
         if self._trace_store is not None:
-            segments = self._trace_store.segment_paths()
             traces.update(
-                {
-                    "segments": len(segments),
-                    "last_flush_age_seconds": self._flush_age(segments),
-                    "kept": self._trace_store.added,
-                    "count": len(self._trace_store),
-                }
+                kept=self._trace_store.added, count=len(self._trace_store)
             )
-        profiler: Dict[str, object] = {
-            "enabled": self._profiler is not None,
-            "segments": 0,
-            "last_flush_age_seconds": None,
-        }
+        profiler = self._persistence(self._profiler)
         if self._profiler is not None:
-            stats = self._profiler.stats()
-            segments = self._profiler.segment_paths()
-            profiler.update(
-                {
-                    "segments": len(segments),
-                    "last_flush_age_seconds": self._flush_age(segments),
-                    "running": stats["running"],
-                    "hz": stats["hz"],
-                    "window_seconds": stats["window_seconds"],
-                    "windows": stats["windows"],
-                    "pinned": stats["pinned"],
-                    "current_window": stats["current_window"],
-                }
-            )
-        ingest: Dict[str, object] = {
-            "enabled": self._ingest is not None,
-            "segments": 0,
-            "last_flush_age_seconds": None,
-        }
+            profiler.update(self._profiler.stats())
+        ingest = self._persistence(None)
         if self._ingest is not None:
             stats = self._ingest.stats()
-            ingest.update(stats)
-            staleness = stats.get("staleness_seconds")
-            ingest["last_flush_age_seconds"] = staleness
+            ingest.update(stats, enabled=True)
+            ingest["last_flush_age_seconds"] = stats.get("staleness_seconds")
         return {
             "tsdb": tsdb,
             "traces": traces,
